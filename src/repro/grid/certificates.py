@@ -91,6 +91,9 @@ class ProxyFactory:
     def __init__(self, credential: CommunityCredential, clock):
         self.credential = credential
         self.clock = clock
+        # The last (payload, signature) pair whose HMAC checked out: the
+        # daemon verifies the same proxy several times per polled job.
+        self._verified = None
 
     def issue(self, saml: SAMLAssertion, lifetime_s=None):
         lifetime_s = lifetime_s or self.DEFAULT_LIFETIME_S
@@ -109,11 +112,20 @@ class ProxyFactory:
             saml=saml, signature=signature)
 
     def verify(self, proxy: ProxyCertificate):
-        """Validate signature chain and lifetime; raises on failure."""
-        expected = self.credential.sign(proxy.payload())
-        if not hmac.compare_digest(expected, proxy.signature):
-            raise CertificateInvalid(
-                f"Signature chain broken for {proxy.subject}")
+        """Validate signature chain and lifetime; raises on failure.
+
+        A proxy whose payload and signature match the last pair that
+        passed skips only the HMAC; issuer and expiry are checked on
+        every call.
+        """
+        payload, memo = proxy.payload(), self._verified
+        if (memo is None or memo[0] != payload
+                or not hmac.compare_digest(memo[1], proxy.signature)):
+            expected = self.credential.sign(payload)
+            if not hmac.compare_digest(expected, proxy.signature):
+                raise CertificateInvalid(
+                    f"Signature chain broken for {proxy.subject}")
+            self._verified = (payload, proxy.signature)
         if proxy.issuer_dn != self.credential.distinguished_name:
             raise CertificateInvalid("Issuer mismatch")
         if not proxy.is_valid(self.clock.now):

@@ -97,9 +97,10 @@ class GridClients:
         Memoised per resource: a machine's backend is part of its frozen
         spec, and resolution sits on the per-command hot path.
         """
-        cached = self._backend_names.get(resource_name)
-        if cached is not None:
-            return cached
+        try:
+            return self._backend_names[resource_name]
+        except KeyError:
+            pass
         try:
             machine = self.fabric.resource(resource_name).machine
         except Exception:  # noqa: BLE001 - unknown resource

@@ -79,6 +79,13 @@ class _WorkerWSGIServer(WSGIServer):
         super().__init__(listen_sock.getsockname(), handler_class,
                          bind_and_activate=False)
         self.socket.close()               # the unbound placeholder
+        # Every worker's select() wakes for one connection; only one
+        # accept() wins.  Non-blocking, the losers' accept() raises
+        # BlockingIOError (swallowed by _handle_request_noblock) instead
+        # of blocking until the next connection — where a drain's
+        # shutdown() would wait on them forever.  Accepted connections
+        # are still blocking sockets.
+        listen_sock.setblocking(False)
         self.socket = listen_sock
         host, port = listen_sock.getsockname()[:2]
         self.server_name = host

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import re
+from functools import cached_property
 
 from .exceptions import ValidationError
 
@@ -114,6 +115,17 @@ class Field:
         if value is None:
             return None
         return self.to_python(value)
+
+    @cached_property
+    def decode_spec(self):
+        """``(attname, keep, convert)`` for the positional row decoder,
+        equivalent to :meth:`from_db` on a non-NULL raw value: one whose
+        exact type is *keep* is stored as is, any other goes through
+        *convert*.  Resolved once per field."""
+        cls = type(self)
+        if cls.from_db is not Field.from_db:
+            return self.attname, None, self.from_db
+        return self.attname, _UNCHANGED.get(cls.to_python), self.to_python
 
     def to_db(self, value):
         """Convert a Python value into something sqlite3 can bind."""
@@ -469,6 +481,12 @@ class ForeignKey(Field):
         sql += (f' REFERENCES "{target._meta.table_name}"'
                 f'("{target._meta.pk.column}") ON DELETE {action}')
         return sql
+
+
+#: ``to_python`` implementations that return a raw value of this exact
+#: type unchanged, so the row decoder skips the call for such values.
+_UNCHANGED = {CharField.to_python: str, IntegerField.to_python: int,
+              AutoField.to_python: int, ForeignKey.to_python: int}
 
 
 class _ForwardRelationDescriptor:

@@ -236,25 +236,33 @@ class Model(metaclass=ModelMeta):
         setattr(self, self._meta.pk.attname, value)
 
     @classmethod
-    def _from_db_row(cls, row, db, fields=None):
-        """Build an instance from a row dict.
+    def _from_db_row(cls, row, layout, db, deferred=None):
+        """Build an instance from one positional result row.
 
-        *fields* restricts hydration to a projection (``only()``/
-        ``defer()``); the rest become deferred attributes that load
-        lazily on first access.
+        *layout* is this model's node of the queryset's ``RowDecoder``
+        layout: ``(specs, positions, missing)``, where each spec is a
+        field's ``(attname, keep, convert)`` — a non-NULL raw value
+        whose exact type is *keep* is stored as is, any other goes
+        through *convert* — and *missing* names fields the row lacks.
+        *deferred* names the attributes a projection (``only()``/
+        ``defer()``) left unloaded; they load lazily on first access.
         """
+        specs, positions, missing = layout
         obj = cls.__new__(cls)
-        obj._state_db = db
-        obj._state_adding = False
-        loaded = fields if fields is not None else cls._meta.fields
-        if fields is not None:
-            deferred = ({f.attname for f in cls._meta.fields}
-                        - {f.attname for f in loaded})
-            if deferred:
-                object.__setattr__(obj, "_deferred_fields", deferred)
-        for field in loaded:
-            raw = row.get(field.column)
-            object.__setattr__(obj, field.attname, field.from_db(raw))
+        # Keys go in one at a time, in __init__'s order, so the instance
+        # keeps the class's compact key-sharing dict.
+        values = obj.__dict__
+        values["_state_db"] = db
+        values["_state_adding"] = False
+        if deferred:
+            values["_deferred_fields"] = set(deferred)
+        for (attname, keep, convert), position in zip(specs, positions):
+            value = row[position]
+            if value is not None and value.__class__ is not keep:
+                value = convert(value)
+            values[attname] = value
+        for attname in missing:
+            values[attname] = None
         return obj
 
     def __getattr__(self, name):

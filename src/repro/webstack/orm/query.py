@@ -24,9 +24,12 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
 
 from __future__ import annotations
 
+import sys
 import threading
+from collections import OrderedDict
 
 from .exceptions import FieldError
+from .fields import AutoField, DateTimeField, ForeignKey
 
 #: lookup name -> SQL template fragment (``{col}`` is the quoted —
 #: possibly table-qualified — column reference; one param).
@@ -147,8 +150,9 @@ class CompiledQueryCache:
     """Bounded, thread-safe LRU of compiled queryset shapes.
 
     One global instance (``compiled_cache``) serves every model and
-    every connection: compiled SQL is independent of which role runs
-    it.  Entries are keyed by the model *class object* (so a freshly
+    every connection: an entry — SQL text, parameter binders and, for
+    a SELECT, the shape's ``RowDecoder`` — is independent of which role
+    runs it.  Entries are keyed by the model *class object* (so a freshly
     defined test model never collides with a prior one) plus the full
     structural shape.  ``stats()`` exposes hits/misses/compiles —
     ``bench_db_router.py`` pins the poll-sweep hit rate against it.
@@ -157,8 +161,7 @@ class CompiledQueryCache:
     def __init__(self, capacity=512):
         self.capacity = int(capacity)
         self.enabled = True
-        self._entries = {}
-        self._order = []            # LRU order, oldest first
+        self._entries = OrderedDict()   # LRU order, oldest first
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -173,28 +176,20 @@ class CompiledQueryCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            # Cheap LRU touch: move to the end lazily.
-            try:
-                self._order.remove(key)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            self._order.append(key)
+            self._entries.move_to_end(key)
             return entry
 
     def put(self, key, entry):
         with self._lock:
-            if key not in self._entries:
-                self._order.append(key)
+            # Re-putting a present key keeps its LRU position.
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
-                oldest = self._order.pop(0)
-                self._entries.pop(oldest, None)
+                self._entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self):
         with self._lock:
             self._entries.clear()
-            self._order.clear()
             self.hits = self.misses = self.compiles = 0
             self.evictions = self.uncacheable = 0
 
@@ -219,6 +214,105 @@ class CompiledQueryCache:
 
 #: The process-wide compiled-query cache.
 compiled_cache = CompiledQueryCache()
+
+
+# ----------------------------------------------------------------------
+# Row decoding
+# ----------------------------------------------------------------------
+#
+# A SELECT shape also fixes which models each row hydrates and which
+# fields each one loads, so the decoding work is compiled once per
+# shape too and cached beside the SQL: per model node, each loaded
+# field's ``decode_spec`` (attname and converter, resolved once per
+# field) with its column position.  Rows are then decoded by position
+# straight into instance ``__dict__``s.  Positions are resolved by
+# *name* from ``cursor.description``: ``SELECT *`` returns the table's
+# physical column order, which is not the declaration order once a
+# table has been altered.
+
+class RowDecoder:
+    """Decodes the result rows of one compiled SELECT shape.
+
+    ``nodes`` holds the base model, then each ``select_related`` join in
+    plan order, as ``(model, column prefix, fields, parent node index,
+    FK field)``; ``deferred`` names the base attributes a projection
+    leaves unloaded.
+    """
+
+    __slots__ = ("nodes", "deferred", "_layout")
+
+    def __init__(self, model, fields, plan):
+        meta = model._meta
+        self.deferred = None
+        if fields is not None:
+            self.deferred = frozenset(f.attname for f in meta.fields
+                                      if f not in fields) or None
+        nodes = [(model, "", meta.fields if fields is None else fields,
+                  None, None)]
+        index = {None: 0}
+        for node in plan:
+            index[node["path"]] = len(nodes)
+            nodes.append((node["target"], node["path"] + "__",
+                          node["target"]._meta.fields,
+                          index[node["parent_path"]], node["field"]))
+        self.nodes = tuple(nodes)
+        self._layout = None         # (column names, per-node layout)
+
+    def _positions(self, description):
+        """Per node, ``(specs, positions, missing)`` for a result whose
+        columns are *description*: the ``decode_spec`` and column
+        position of each field the result has, and the attnames of the
+        fields it lacks (they decode to None).  Resolved once, and again
+        only when the column names change."""
+        names = tuple(column[0] for column in description)
+        layout = self._layout
+        if layout is None or layout[0] != names:
+            position = {name: i for i, name in enumerate(names)}
+            nodes = []
+            for _, prefix, fields, _, _ in self.nodes:
+                specs, positions, missing = [], [], []
+                for field in fields:
+                    i = position.get(prefix + field.column)
+                    if i is None:
+                        missing.append(field.attname)
+                    else:
+                        specs.append(field.decode_spec)
+                        positions.append(i)
+                nodes.append((tuple(specs), tuple(positions),
+                              tuple(missing)))
+            layout = self._layout = (tuple(map(sys.intern, names)),
+                                     tuple(nodes))
+        return layout[1]
+
+    def decode(self, rows, description, db):
+        """Instances for *rows* (positional tuples) read through *db*,
+        with every ``select_related`` node in its parent's FK cache."""
+        base, *join_layouts = self._positions(description)
+        from_row = self.nodes[0][0]._from_db_row
+        deferred = self.deferred
+        if not join_layouts:
+            return [from_row(row, base, db, deferred) for row in rows]
+        joins = [(parent, fk.attname, fk.name, target._from_db_row,
+                  layout)
+                 for (target, _, _, parent, fk), layout
+                 in zip(self.nodes[1:], join_layouts)]
+        instances = []
+        for row in rows:
+            obj = from_row(row, base, db, deferred)
+            hydrated = [obj]
+            for parent, attname, name, target_row, layout in joins:
+                related = hydrated[parent]
+                if related is not None:
+                    # A NULL FK caches None; below a None parent the
+                    # whole subtree stays unhydrated.
+                    values = related.__dict__
+                    cache = values.setdefault("_fk_cache", {})
+                    related = (None if values[attname] is None
+                               else target_row(row, layout, db))
+                    cache[name] = related
+                hydrated.append(related)
+            instances.append(obj)
+        return instances
 
 
 class Q:
@@ -540,7 +634,6 @@ class QuerySet:
         reverse accessor's result cache, so ``obj.things`` iterates and
         counts without touching the database).
         """
-        from .fields import ForeignKey
         clone = self._clone()
         merged = dict.fromkeys(self._prefetch_related)
         meta = self.model._meta
@@ -584,7 +677,6 @@ class QuerySet:
                 f"{self.model.__name__}")
 
     def _validate_related_path(self, path):
-        from .fields import ForeignKey
         model = self.model
         for part in path.split("__"):
             field = model._meta.field_by_any_name(part)
@@ -663,10 +755,7 @@ class QuerySet:
         return key, raw_values, compiled_cache.get(key)
 
     def _build_select(self):
-        """Compile this queryset; returns (sql, params, plan, fields).
-
-        *fields* is the base-model projection (None = every column).
-        """
+        """Compile this queryset; returns (sql, params, decoder)."""
         meta = self.model._meta
         cache_key, raw_values, entry = self._cache_probe(
             "select",
@@ -677,7 +766,7 @@ class QuerySet:
         if entry is not None:
             params = [bind(v) for bind, v
                       in zip(entry["binders"], raw_values)]
-            return entry["sql"], params, entry["plan"], entry["fields"]
+            return entry["sql"], params, entry["decoder"]
         plan = self._join_plan()
         base_alias = "t0" if plan else None
         compiler = QueryCompiler(self.model, base_alias=base_alias)
@@ -714,54 +803,32 @@ class QuerySet:
             sql += f" LIMIT {self._limit if self._limit is not None else -1}"
             if self._offset:
                 sql += f" OFFSET {self._offset}"
+        decoder = RowDecoder(self.model, fields, plan)
         compiled_cache.compiles += 1
         if cache_key is not None and len(binders) == len(params) \
                 and len(raw_values) == len(params):
-            compiled_cache.put(cache_key, {"sql": sql, "plan": plan,
-                                           "fields": fields,
-                                           "binders": binders})
-        return sql, params, plan, fields
+            compiled_cache.put(cache_key, {"sql": sql, "binders": binders,
+                                           "decoder": decoder})
+        return sql, params, decoder
 
     def _select_sql(self, columns="*"):
         """Back-compat shim: (sql, params) of the compiled SELECT."""
-        sql, params, _, _ = self._build_select()
+        sql, params, _ = self._build_select()
         return sql, params
 
     def _fetch(self):
         if self._result_cache is not None:
             return self._result_cache
-        sql, params, plan, fields = self._build_select()
+        sql, params, decoder = self._build_select()
+        db = self.db
         # A JOIN reads the joined tables too: the role must hold SELECT
         # on every one of them, not just the base table.
-        for node in plan:
-            self.db.check_permission("select",
-                                     node["target"]._meta.table_name)
-        cur = self.db.execute(sql, params, operation="select",
-                              table=self.model._meta.table_name)
-        rows = [dict(row) for row in cur.fetchall()]
-        instances = []
-        for row in rows:
-            obj = self.model._from_db_row(row, self.db, fields=fields)
-            hydrated = {None: obj}
-            for node in plan:
-                parent = hydrated.get(node["parent_path"])
-                if parent is None:
-                    hydrated[node["path"]] = None
-                    continue
-                cache = parent.__dict__.setdefault("_fk_cache", {})
-                fk_id = getattr(parent, node["field"].attname)
-                if fk_id is None:
-                    cache[node["field"].name] = None
-                    hydrated[node["path"]] = None
-                    continue
-                prefix = node["path"] + "__"
-                sub = {key[len(prefix):]: value
-                       for key, value in row.items()
-                       if key.startswith(prefix)}
-                related = node["target"]._from_db_row(sub, self.db)
-                cache[node["field"].name] = related
-                hydrated[node["path"]] = related
-            instances.append(obj)
+        for model, *_ in decoder.nodes[1:]:
+            db.check_permission("select", model._meta.table_name)
+        cur = db.execute(sql, params, operation="select",
+                         table=self.model._meta.table_name)
+        cur.row_factory = None      # plain tuples, decoded by position
+        instances = decoder.decode(cur.fetchall(), cur.description, db)
         if self._prefetch_related and instances:
             self._do_prefetch(instances)
         self._result_cache = instances
@@ -769,7 +836,6 @@ class QuerySet:
 
     def _do_prefetch(self, instances):
         """One IN-query per prefetch name, priming per-instance caches."""
-        from .fields import ForeignKey
         meta = self.model._meta
         for name in self._prefetch_related:
             field = meta.field_by_any_name(name)
@@ -860,8 +926,7 @@ class QuerySet:
             compiled_cache.compiles += 1
             if cache_key is not None and len(binders) == len(params) \
                     and len(raw_values) == len(params):
-                compiled_cache.put(cache_key, {"sql": sql, "plan": [],
-                                               "fields": None,
+                compiled_cache.put(cache_key, {"sql": sql,
                                                "binders": binders})
         cur = self.db.execute(sql, params, operation="select",
                               table=self.model._meta.table_name)
@@ -927,7 +992,6 @@ class QuerySet:
         re-stamped automatically (matching ``save()`` semantics).
         Returns the number of rows matched.
         """
-        from .fields import DateTimeField
         meta = self.model._meta
         objs = [obj for obj in objs if obj.pk is not None]
         if not objs:
@@ -995,7 +1059,6 @@ class QuerySet:
         with multi-row assignment); the rest insert in batches and
         recover their pks from ``lastrowid``.
         """
-        from .fields import AutoField, DateTimeField
         meta = self.model._meta
         if not objs:
             return objs

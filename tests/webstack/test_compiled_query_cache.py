@@ -9,7 +9,8 @@ compile would have produced.
 
 import pytest
 
-from repro.webstack.orm import FieldError, Q, compiled_cache
+from repro.webstack.orm import (CompiledQueryCache, FieldError, Q,
+                                compiled_cache)
 
 from .conftest import Author, Book
 
@@ -235,6 +236,30 @@ def test_capacity_bound_evicts_oldest_shape(authors):
     assert stats["evictions"] == 1
     # The evicted shape recompiles — correctly.
     assert Author.objects.filter(name="Grace").count() == 1
+
+
+def test_lru_eviction_order_is_pinned():
+    """A hit makes its entry the most recent; re-putting a present key
+    replaces the entry where it stands; a put past capacity evicts the
+    least recently used entry."""
+    cache = CompiledQueryCache(capacity=3)
+    for key in "abc":
+        cache.put(key, {"sql": key})
+    assert cache.get("a")["sql"] == "a"        # order: b c a
+    cache.put("b", {"sql": "b2"})               # order: b c a
+    cache.put("d", {"sql": "d"})                # evicts b -> c a d
+    assert cache.get("b") is None
+    for key in "cad":                           # touch in place: c a d
+        assert cache.get(key)["sql"] == key
+    cache.put("e", {"sql": "e"})                # evicts c -> a d e
+    assert cache.get("c") is None
+    assert cache.get("a")["sql"] == "a"         # order: d e a
+    cache.put("f", {"sql": "f"})                # evicts d -> e a f
+    assert [key for key in "abcdef" if cache.get(key) is not None] \
+        == ["a", "e", "f"]
+    stats = cache.stats()
+    assert (stats["size"], stats["evictions"]) == (3, 3)
+    assert (stats["hits"], stats["misses"]) == (8, 5)
 
 
 def test_disabled_cache_still_answers_correctly(authors):
