@@ -10,6 +10,13 @@ the score is total singleton poll time over total fleet critical-path
 time.  The acceptance floor is 3x — linear minus the lease-protocol
 overhead (sweep + scoped filters), the unsliceable phases (telemetry,
 first-poller fabric refresh), and cross-slice wave variance.
+
+The two arms run side by side, one round of each at a time, in ABBA
+order (singleton then fleet, then fleet then singleton, ...), so a
+spell in which the host runs slower or faster lands on both arms
+instead of on whichever arm happened to be running.  Each arm's
+deployment keeps its own database and clock; the models' default
+database is pointed at the arm about to poll, outside the timed region.
 """
 
 import time
@@ -51,19 +58,28 @@ def _populate(deployment):
         for index in range(POPULATION)])
 
 
-def _measure_singleton():
+def _deployment(fleet_size=0):
     deployment = fresh_deployment()
-    try:
-        _populate(deployment)
-        times = []
-        for _ in range(MEASURED_ROUNDS):
-            deployment.clock.advance(INTERVAL_S)
-            start = time.perf_counter()
-            deployment.daemon.poll_once()
-            times.append(time.perf_counter() - start)
-        return times
-    finally:
-        _close(deployment)
+    _populate(deployment)
+    if fleet_size:
+        deployment.start_fleet(fleet_size)
+    return deployment
+
+
+def _activate(deployment):
+    """Make *deployment* the models' default database before it polls
+    (each new deployment takes the global binding for itself)."""
+    from repro.core.models import ALL_MODELS
+    from repro.webstack.orm import bind
+    bind(ALL_MODELS, deployment.databases.admin)
+
+
+def _singleton_round(deployment):
+    """One singleton round; returns its poll wall time."""
+    deployment.clock.advance(INTERVAL_S)
+    start = time.perf_counter()
+    deployment.daemon.poll_once()
+    return time.perf_counter() - start
 
 
 def _fleet_round(deployment):
@@ -78,23 +94,34 @@ def _fleet_round(deployment):
     return per_instance
 
 
-def _measure_fleet(n=4):
-    deployment = fresh_deployment()
+def _measure_interleaved(n=4):
+    """Both arms over the same schedule, rounds interleaved ABBA.
+
+    Returns ``(singleton poll times, fleet rounds)``.
+    """
+    singleton = _deployment()
+    fleet = _deployment(fleet_size=n)
     try:
-        _populate(deployment)
-        deployment.start_fleet(n)
-        rounds = [_fleet_round(deployment)
-                  for _ in range(MEASURED_ROUNDS)]
-        return rounds
+        single_times, fleet_rounds = [], []
+        for round_index in range(MEASURED_ROUNDS):
+            arms = ("singleton", "fleet")
+            for arm in arms if round_index % 2 == 0 else arms[::-1]:
+                if arm == "singleton":
+                    _activate(singleton)
+                    single_times.append(_singleton_round(singleton))
+                else:
+                    _activate(fleet)
+                    fleet_rounds.append(_fleet_round(fleet))
+        return single_times, fleet_rounds
     finally:
-        _close(deployment)
+        _close(singleton)
+        _close(fleet)
 
 
 def test_fleet_poll_throughput_scales(benchmark):
     """4-daemon fleet: critical-path poll time >= 3x faster."""
-    single_times = _measure_singleton()
-    fleet_rounds = benchmark.pedantic(
-        _measure_fleet, rounds=1, iterations=1)
+    single_times, fleet_rounds = benchmark.pedantic(
+        _measure_interleaved, rounds=1, iterations=1)
 
     single_mean = sum(single_times) / len(single_times)
     critical_paths = [max(r.values()) for r in fleet_rounds]

@@ -393,10 +393,20 @@ class GridAMPDaemon:
         and owner; state changes accumulate and flush in one
         ``bulk_update`` — two round trips however many jobs are active.
         Fleet instances poll only jobs of their leased slices.
+
+        The SELECT loads only the columns this sweep reads (the
+        simulation is only its pk, for the correlation id, and its
+        owner FK), and the ``bulk_update`` writes only loaded fields
+        plus the auto-now ``updated`` stamp: no deferred column is ever
+        fetched.  Keep the ``only()`` list in step with the loop.
         """
         active = (GridJobRecord.objects.using(self.db)
                   .filter(state__in=["UNSUBMITTED", "PENDING", "ACTIVE"])
-                  .select_related("simulation__owner"))
+                  .select_related("simulation__owner")
+                  .only("simulation", "resource", "gram_job_id", "state",
+                        "failure_reason", "simulation__owner",
+                        "simulation__owner__username",
+                        "simulation__owner__email"))
         if slice_filter is not None:
             active = active.filter(simulation_id__mod=slice_filter)
         changed = []

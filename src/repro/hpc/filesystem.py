@@ -30,6 +30,9 @@ class RemoteFilesystem:
         self._files = {}
         self._dirs = {"/"}
         self.quota_bytes = quota_bytes
+        # Running total of every file's size, kept by each mutation, so
+        # a write's quota check does not re-sum the whole store.
+        self._used = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -38,7 +41,7 @@ class RemoteFilesystem:
         return path
 
     def used_bytes(self):
-        return sum(len(data) for data in self._files.values())
+        return self._used
 
     # ------------------------------------------------------------------
     def mkdir(self, path, parents=True):
@@ -64,13 +67,14 @@ class RemoteFilesystem:
         parent = posixpath.dirname(path)
         if parent not in self._dirs:
             raise FilesystemError(f"Directory {parent} does not exist")
-        projected = self.used_bytes() - len(self._files.get(path, b"")) \
+        projected = self._used - len(self._files.get(path, b"")) \
             + len(data)
         if self.quota_bytes is not None and projected > self.quota_bytes:
             raise QuotaExceeded(
                 f"Write of {len(data)} bytes exceeds quota "
                 f"{self.quota_bytes}")
         self._files[path] = bytes(data)
+        self._used = projected
 
     def read(self, path):
         path = self._norm(path)
@@ -91,7 +95,7 @@ class RemoteFilesystem:
     def delete(self, path):
         path = self._norm(path)
         if path in self._files:
-            del self._files[path]
+            self._used -= len(self._files.pop(path))
         else:
             raise FilesystemError(f"No such file: {path}")
 
@@ -99,8 +103,9 @@ class RemoteFilesystem:
         """Remove a directory and everything beneath it (cleanup stage)."""
         path = self._norm(path)
         prefix = path.rstrip("/") + "/"
-        self._files = {p: d for p, d in self._files.items()
-                       if not p.startswith(prefix) and p != path}
+        for doomed in [p for p in self._files
+                       if p.startswith(prefix) or p == path]:
+            self._used -= len(self._files.pop(doomed))
         self._dirs = {d for d in self._dirs
                       if not d.startswith(prefix) and d != path}
 

@@ -67,6 +67,8 @@ class Field:
         self.unique = unique
         self.primary_key = primary_key
         self.choices = list(choices) if choices else None
+        self._choice_values = (tuple(c[0] for c in self.choices)
+                               if self.choices else None)
         self.db_index = db_index
         self.verbose_name = verbose_name
         self.help_text = help_text
@@ -141,10 +143,14 @@ class Field:
         self.validate(value)
         return value
 
+    def clean_for_db(self, value):
+        """The write path's pass: ``(clean(value), to_db(cleaned))``."""
+        cleaned = self.clean(value)
+        return cleaned, self.to_db(cleaned)
+
     def validate(self, value):
-        if self.choices is not None:
-            allowed = [c[0] for c in self.choices]
-            if value not in allowed:
+        if self._choice_values is not None:
+            if value not in self._choice_values:
                 raise ValidationError(
                     {self.name or "?": f"Value {value!r} is not a valid choice."})
 
@@ -409,17 +415,24 @@ class JSONField(Field):
     def to_db(self, value):
         if value is None:
             return None
-        return json.dumps(value, sort_keys=True)
+        try:
+            return json.dumps(value, sort_keys=True)
+        except (TypeError, ValueError):
+            # Includes dicts whose keys do not sort (mixed key types).
+            raise ValidationError(
+                {self.name or "?": "Value is not JSON-serialisable."})
 
     def clean(self, value):
         if value is None:
             return super().clean(value)
-        try:
-            json.dumps(value)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                {self.name or "?": "Value is not JSON-serialisable."})
+        self.to_db(value)
         return value
+
+    def clean_for_db(self, value):
+        # The stored serialisation is the check: encode once.
+        if value is None:
+            return super().clean_for_db(value)
+        return value, self.to_db(value)
 
 
 class ForeignKey(Field):

@@ -299,7 +299,13 @@ class Model(metaclass=ModelMeta):
     # ------------------------------------------------------------------
     def full_clean(self):
         """Validate every field; collect all errors before raising."""
-        errors = {}
+        self._clean_fields()
+
+    def _clean_fields(self):
+        """``full_clean()``'s pass, through ``clean_for_db``: returns
+        each cleaned field's database value, so a write encodes every
+        value once (a JSON value's serialisation is also its check)."""
+        errors, encoded = {}, {}
         for field in self._meta.fields:
             if field.primary_key and getattr(self, field.attname) is None:
                 continue
@@ -307,7 +313,8 @@ class Model(metaclass=ModelMeta):
                                                      field.auto_now_add):
                 continue
             try:
-                cleaned = field.clean(getattr(self, field.attname))
+                cleaned, encoded[field] = field.clean_for_db(
+                    getattr(self, field.attname))
                 if cleaned is not None:
                     setattr(self, field.attname, cleaned)
             except ValidationError as exc:
@@ -318,6 +325,21 @@ class Model(metaclass=ModelMeta):
                     errors.setdefault(field.name, []).extend(exc.messages)
         if errors:
             raise ValidationError(errors)
+        return encoded
+
+    def _write_values(self, fields, adding):
+        """Validate as ``full_clean()`` does, then the database value of
+        each of *fields*: auto-stamped timestamps are stamped here."""
+        encoded = self._clean_fields()
+        values = []
+        for field in fields:
+            if field in encoded:
+                values.append(encoded[field])
+            elif isinstance(field, DateTimeField):
+                values.append(field.to_db(field.pre_save(self, adding)))
+            else:
+                values.append(field.to_db(getattr(self, field.attname)))
+        return values
 
     def save(self, db=None, force_insert=False):
         """INSERT or UPDATE this instance after full validation.
@@ -329,19 +351,10 @@ class Model(metaclass=ModelMeta):
             self._state_db = db
         database = self._db_for_write()
         meta = self._meta
-        self.full_clean()
-
         adding = force_insert or self.pk is None or self._state_adding
-        columns, values = [], []
-        for field in meta.fields:
-            if isinstance(field, AutoField):
-                continue
-            if isinstance(field, DateTimeField):
-                value = field.pre_save(self, adding)
-            else:
-                value = getattr(self, field.attname)
-            columns.append(field.column)
-            values.append(field.to_db(value))
+        fields = [f for f in meta.fields if not isinstance(f, AutoField)]
+        columns = [field.column for field in fields]
+        values = self._write_values(fields, adding)
 
         if adding:
             col_sql = ", ".join(f'"{c}"' for c in columns)

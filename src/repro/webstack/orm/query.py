@@ -224,7 +224,8 @@ compiled_cache = CompiledQueryCache()
 # fields each one loads, so the decoding work is compiled once per
 # shape too and cached beside the SQL: per model node, each loaded
 # field's ``decode_spec`` (attname and converter, resolved once per
-# field) with its column position.  Rows are then decoded by position
+# field) with its column position, and the attributes a projection
+# leaves deferred on that node.  Rows are then decoded by position
 # straight into instance ``__dict__``s.  Positions are resolved by
 # *name* from ``cursor.description``: ``SELECT *`` returns the table's
 # physical column order, which is not the declaration order once a
@@ -234,27 +235,31 @@ class RowDecoder:
     """Decodes the result rows of one compiled SELECT shape.
 
     ``nodes`` holds the base model, then each ``select_related`` join in
-    plan order, as ``(model, column prefix, fields, parent node index,
-    FK field)``; ``deferred`` names the base attributes a projection
-    leaves unloaded.
+    plan order, as ``(model, column prefix, fields, deferred, parent
+    node index, FK field)``.  *projection* gives each node's fields to
+    load in the same order (None: all of them); *deferred* names the
+    attributes a projection leaves unloaded on that node's instances.
     """
 
-    __slots__ = ("nodes", "deferred", "_layout")
+    __slots__ = ("nodes", "_layout")
 
-    def __init__(self, model, fields, plan):
-        meta = model._meta
-        self.deferred = None
-        if fields is not None:
-            self.deferred = frozenset(f.attname for f in meta.fields
-                                      if f not in fields) or None
-        nodes = [(model, "", meta.fields if fields is None else fields,
-                  None, None)]
+    def __init__(self, model, plan, projection):
+        joins = [(model, "", None, None)]
         index = {None: 0}
         for node in plan:
-            index[node["path"]] = len(nodes)
-            nodes.append((node["target"], node["path"] + "__",
-                          node["target"]._meta.fields,
+            index[node["path"]] = len(joins)
+            joins.append((node["target"], node["path"] + "__",
                           index[node["parent_path"]], node["field"]))
+        nodes = []
+        for (target, prefix, parent, fk), fields in zip(joins, projection):
+            every = target._meta.fields
+            deferred = None
+            if fields is not None:
+                deferred = frozenset(f.attname for f in every
+                                     if f not in fields) or None
+            nodes.append((target, prefix,
+                          every if fields is None else fields,
+                          deferred, parent, fk))
         self.nodes = tuple(nodes)
         self._layout = None         # (column names, per-node layout)
 
@@ -269,7 +274,7 @@ class RowDecoder:
         if layout is None or layout[0] != names:
             position = {name: i for i, name in enumerate(names)}
             nodes = []
-            for _, prefix, fields, _, _ in self.nodes:
+            for _, prefix, fields, *_ in self.nodes:
                 specs, positions, missing = [], [], []
                 for field in fields:
                     i = position.get(prefix + field.column)
@@ -288,19 +293,20 @@ class RowDecoder:
         """Instances for *rows* (positional tuples) read through *db*,
         with every ``select_related`` node in its parent's FK cache."""
         base, *join_layouts = self._positions(description)
-        from_row = self.nodes[0][0]._from_db_row
-        deferred = self.deferred
+        model, _, _, deferred, _, _ = self.nodes[0]
+        from_row = model._from_db_row
         if not join_layouts:
             return [from_row(row, base, db, deferred) for row in rows]
         joins = [(parent, fk.attname, fk.name, target._from_db_row,
-                  layout)
-                 for (target, _, _, parent, fk), layout
+                  layout, target_deferred)
+                 for (target, _, _, target_deferred, parent, fk), layout
                  in zip(self.nodes[1:], join_layouts)]
         instances = []
         for row in rows:
             obj = from_row(row, base, db, deferred)
             hydrated = [obj]
-            for parent, attname, name, target_row, layout in joins:
+            for (parent, attname, name, target_row, layout,
+                 target_deferred) in joins:
                 related = hydrated[parent]
                 if related is not None:
                     # A NULL FK caches None; below a None parent the
@@ -308,7 +314,8 @@ class RowDecoder:
                     values = related.__dict__
                     cache = values.setdefault("_fk_cache", {})
                     related = (None if values[attname] is None
-                               else target_row(row, layout, db))
+                               else target_row(row, layout, db,
+                                               target_deferred))
                     cache[name] = related
                 hydrated.append(related)
             instances.append(obj)
@@ -655,10 +662,20 @@ class QuerySet:
         Unloaded columns are deferred: touching one later triggers a
         single-column fetch for that instance.  Use for listings that
         render a few columns of wide rows (e.g. ``Simulation.results``).
+
+        A ``path__field`` name projects a ``select_related`` model the
+        same way, where *path* is a named path or one of its hops: that
+        model loads its pk, its named fields and the FK columns of the
+        joins below it.  A joined model with no named field loads in
+        full.  A *path* that ``select_related()`` does not join raises
+        ``FieldError`` when the queryset compiles.
         """
         clone = self._clone()
         for name in names:
-            self._validate_field_name(name, "only()")
+            path, _, field_name = name.rpartition("__")
+            model = (self._validate_related_path(path, "only()")
+                     if path else self.model)
+            self._validate_field_name(field_name, "only()", model)
         clone._only = set(names)
         return clone
 
@@ -670,21 +687,25 @@ class QuerySet:
         clone._defer = self._defer | frozenset(names)
         return clone
 
-    def _validate_field_name(self, name, where):
-        if self.model._meta.field_by_any_name(name) is None:
+    def _validate_field_name(self, name, where, model=None):
+        model = model or self.model
+        if model._meta.field_by_any_name(name) is None:
             raise FieldError(
                 f"Unknown field {name!r} in {where} for "
-                f"{self.model.__name__}")
+                f"{model.__name__}")
 
-    def _validate_related_path(self, path):
+    def _validate_related_path(self, path, where="select_related"):
+        """The model at the end of FK *path*; FieldError if a hop is not
+        a foreign key."""
         model = self.model
         for part in path.split("__"):
             field = model._meta.field_by_any_name(part)
             if not isinstance(field, ForeignKey):
                 raise FieldError(
-                    f"select_related path {path!r}: {part!r} is not a "
+                    f"{where} path {path!r}: {part!r} is not a "
                     f"foreign key on {model.__name__}")
             model = field.resolve_target()
+        return model
 
     # -- execution ---------------------------------------------------------
     def _join_plan(self):
@@ -723,8 +744,8 @@ class QuerySet:
             return None
         deferred = {meta.field_by_any_name(n) for n in self._defer}
         if self._only is not None:
-            wanted = {meta.field_by_any_name(n)
-                      for n in self._only} - deferred
+            wanted = {meta.field_by_any_name(n) for n in self._only
+                      if "__" not in n} - deferred
         else:
             wanted = set(meta.fields) - deferred
         join_fks = {meta.field_by_any_name(p.split("__")[0])
@@ -732,6 +753,36 @@ class QuerySet:
         return [field for field in meta.fields
                 if field.primary_key or field in wanted
                 or field in join_fks]
+
+    def _joined_fields(self, plan):
+        """Per join-plan node, the fields to SELECT: None (all of them)
+        when no ``only()`` name is a ``path__field`` of the node, else
+        its pk, its named fields and the FKs of its own child joins."""
+        named = {}
+        for name in self._only or ():
+            path, _, field_name = name.rpartition("__")
+            if path:
+                named.setdefault(path, set()).add(field_name)
+        if not named:
+            return [None] * len(plan)
+        unjoined = sorted(set(named) - {node["path"] for node in plan})
+        if unjoined:
+            raise FieldError(
+                f"only() path {unjoined[0]!r} is not in select_related() "
+                f"for {self.model.__name__}")
+        projection = []
+        for node in plan:
+            names = named.get(node["path"])
+            if names is None:
+                projection.append(None)
+                continue
+            tmeta = node["target"]._meta
+            wanted = {tmeta.field_by_any_name(n) for n in names}
+            wanted.update(child["field"] for child in plan
+                          if child["parent_path"] == node["path"])
+            projection.append([field for field in tmeta.fields
+                               if field.primary_key or field in wanted])
+        return projection
 
     def _cache_probe(self, kind, extra=()):
         """Shape this queryset for the compiled-query cache.
@@ -771,13 +822,16 @@ class QuerySet:
         base_alias = "t0" if plan else None
         compiler = QueryCompiler(self.model, base_alias=base_alias)
         fields = self._projected_fields()
+        joined = self._joined_fields(plan)
         base_fields = fields if fields is not None else meta.fields
         if plan:
             cols = [f'"t0"."{f.column}" AS "{f.column}"'
                     for f in base_fields]
-            for node in plan:
+            for node, node_fields in zip(plan, joined):
                 prefix = node["path"]
-                for f in node["target"]._meta.fields:
+                if node_fields is None:
+                    node_fields = node["target"]._meta.fields
+                for f in node_fields:
                     cols.append(f'"{node["alias"]}"."{f.column}" '
                                 f'AS "{prefix}__{f.column}"')
             sql = (f'SELECT {", ".join(cols)} '
@@ -803,7 +857,7 @@ class QuerySet:
             sql += f" LIMIT {self._limit if self._limit is not None else -1}"
             if self._offset:
                 sql += f" OFFSET {self._offset}"
-        decoder = RowDecoder(self.model, fields, plan)
+        decoder = RowDecoder(self.model, plan, [fields, *joined])
         compiled_cache.compiles += 1
         if cache_key is not None and len(binders) == len(params) \
                 and len(raw_values) == len(params):
@@ -964,9 +1018,8 @@ class QuerySet:
             field = meta.field_by_any_name(name)
             if field is None:
                 raise FieldError(f"Unknown field {name!r} in update()")
-            cleaned = field.clean(value)
             sets.append(f'"{field.column}" = ?')
-            params.append(field.to_db(cleaned))
+            params.append(field.clean_for_db(value)[1])
         compiler = QueryCompiler(self.model)
         where, wparams = compiler.compile_where(self._conditions)
         sql = (f'UPDATE "{meta.table_name}" SET ' + ", ".join(sets) + where)
@@ -1023,13 +1076,13 @@ class QuerySet:
                 whens = []
                 for obj in chunk:
                     if isinstance(field, DateTimeField) and field.auto_now:
-                        value = field.pre_save(obj, False)
+                        value = field.to_db(field.pre_save(obj, False))
                     else:
-                        value = field.clean(getattr(obj, field.attname))
-                        setattr(obj, field.attname, value)
+                        cleaned, value = field.clean_for_db(
+                            getattr(obj, field.attname))
+                        setattr(obj, field.attname, cleaned)
                     whens.append("WHEN ? THEN ?")
-                    params.extend([meta.pk.to_db(obj.pk),
-                                   field.to_db(value)])
+                    params.extend([meta.pk.to_db(obj.pk), value])
                 sets.append(
                     f'"{field.column}" = CASE "{meta.pk.column}" '
                     + " ".join(whens) + f' ELSE "{field.column}" END')
@@ -1053,8 +1106,9 @@ class QuerySet:
     def _bulk_insert(self, objs, batch_size=None):
         """Multi-row INSERT backing ``bulk_create``.
 
-        Every object passes ``full_clean()`` first — the strict
-        marshaling guarantee is identical to ``save()``.  Objects with a
+        Every object passes ``full_clean()``'s validation, in the same
+        pass that encodes its values — the strict marshaling guarantee
+        is identical to ``save()``.  Objects with a
         preset pk are saved row-at-a-time (explicit rowids don't compose
         with multi-row assignment); the rest insert in batches and
         recover their pks from ``lastrowid``.
@@ -1080,13 +1134,7 @@ class QuerySet:
             chunk = fresh[start:start + batch_size]
             params = []
             for obj in chunk:
-                obj.full_clean()
-                for field in columns:
-                    if isinstance(field, DateTimeField):
-                        value = field.pre_save(obj, True)
-                    else:
-                        value = getattr(obj, field.attname)
-                    params.append(field.to_db(value))
+                params.extend(obj._write_values(columns, True))
             sql = (f'INSERT INTO "{meta.table_name}" ({col_sql}) VALUES '
                    + ", ".join([row_marks] * len(chunk)))
             cur = self.db.execute(sql, params, operation="insert",

@@ -50,6 +50,67 @@ class TestPollRoundTripBudget:
         assert large.count == small.count
 
 
+class TestJobSweepProjection:
+    """``update_grid_jobs`` loads only the columns it reads (``only()``
+    across its ``select_related`` join).  A deferred column touched by
+    the sweep, its ``bulk_update`` or a write signal receiver would cost
+    one extra statement per job, so a projected run must make exactly
+    the statements an unprojected run makes."""
+
+    @staticmethod
+    def sweep(monkeypatch, projected):
+        """Statements per ``update_grid_jobs`` call while batch jobs go
+        PENDING -> ACTIVE -> DONE, with the serving tier's cache
+        invalidation connected; the number of job state changes those
+        calls made; and the job rows at the end (less their wall-clock
+        stamps)."""
+        from repro.core import AMPDeployment
+        from repro.core.models import ALL_MODELS, GridJobRecord
+        from repro.webstack.orm import QuerySet, bind
+        if not projected:
+            monkeypatch.setattr(QuerySet, "only",
+                                lambda self, *names: self._clone())
+        deployment = AMPDeployment()
+        try:
+            deployment.build_portal(serve=True)
+            assert deployment.serve_cache is not None
+            user = deployment.create_astronomer("metcalfe",
+                                                password="pw12345")
+            for index in range(6):
+                submit_direct(deployment, user,
+                              machine=("kraken", "frost")[index % 2])
+            db = deployment.databases.daemon
+            jobs = GridJobRecord.objects.using(db)
+            counts, changed = [], 0
+            for _ in range(12):
+                deployment.clock.advance(900.0)
+                before = {job.pk: job.state for job in jobs.all()}
+                with db.count_queries() as counter:
+                    deployment.daemon.update_grid_jobs()
+                changed += sum(before.get(job.pk, job.state) != job.state
+                               for job in jobs.all())
+                counts.append(counter.count)
+                deployment.daemon.poll_once()
+            rows = [{k: v for k, v in job.__dict__.items()
+                     if k not in ("created", "updated", "_state_db")}
+                    for job in jobs.all()]
+            return counts, changed, rows
+        finally:
+            bind(ALL_MODELS, None)
+            deployment.close()
+            monkeypatch.undo()
+
+    def test_projected_sweep_makes_no_lazy_loads(self, monkeypatch):
+        counts, changed, rows = self.sweep(monkeypatch, projected=True)
+        full_counts, full_changed, full_rows = self.sweep(
+            monkeypatch, projected=False)
+        assert changed > 0 and changed == full_changed
+        assert counts == full_counts
+        # One SELECT, plus one bulk UPDATE when a job changed state.
+        assert set(counts) == {1, 2}
+        assert rows == full_rows
+
+
 class TestCatalogBatching:
     def test_local_search_hit_is_one_query(self, deployment):
         db = deployment.databases.portal

@@ -126,3 +126,67 @@ class TestTar:
         for name, data in files.items():
             fs.write(f"/t/{name}", data)
         assert extract_tar_to_dict(fs.tar_tree("/t")) == files
+
+
+class TestUsedBytesCounter:
+    """``used_bytes()`` is a running total kept by every mutation; it
+    must always equal the sum it replaced."""
+
+    @staticmethod
+    def recomputed(fs):
+        return sum(len(fs.read(p)) for p in fs.walk_files("/"))
+
+    def test_counter_tracks_mixed_operations(self):
+        fs = RemoteFilesystem(quota_bytes=10_000)
+        fs.mkdir("/run/a/deep")
+        fs.mkdir("/keep")
+        steps = [
+            lambda: fs.write("/run/a/x", b"1" * 100),
+            lambda: fs.write("/run/a/deep/y", "é" * 50),    # 100 bytes
+            lambda: fs.write("/keep/z", b"2" * 30),
+            lambda: fs.write("/run/a/x", b"3" * 10),        # overwrite
+            lambda: fs.write_json("/run/a/j", {"b": 1, "a": [1, 2]}),
+            lambda: fs.delete("/run/a/deep/y"),
+            lambda: fs.untar_tree("/run/b", fs.tar_tree("/run/a")),
+            lambda: fs.rmtree("/run/a"),
+            lambda: fs.write("/run/b/x", b""),              # shrink to 0
+            lambda: fs.rmtree("/run"),
+        ]
+        for step in steps:
+            step()
+            assert fs.used_bytes() == self.recomputed(fs)
+        assert fs.used_bytes() == 30
+
+    def test_refused_write_leaves_counter_unchanged(self):
+        fs = RemoteFilesystem(quota_bytes=100)
+        fs.mkdir("/d")
+        fs.write("/d/f", b"x" * 60)
+        with pytest.raises(QuotaExceeded):
+            fs.write("/d/g", b"x" * 41)
+        with pytest.raises(QuotaExceeded):
+            fs.write("/d/f", b"x" * 101)
+        with pytest.raises(FilesystemError):
+            fs.delete("/d/missing")
+        assert fs.used_bytes() == 60 == self.recomputed(fs)
+        fs.write("/d/g", b"x" * 40)                 # exactly at quota
+        assert fs.used_bytes() == 100
+
+    @given(st.lists(st.tuples(st.sampled_from(["w", "d", "r"]),
+                              st.sampled_from(["/a/f", "/a/b/g", "/c/h"]),
+                              st.integers(0, 40)), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_counter_property(self, ops):
+        fs = RemoteFilesystem(quota_bytes=200)
+        for op, path, size in ops:
+            directory = path.rsplit("/", 1)[0]
+            try:
+                if op == "w":
+                    fs.mkdir(directory)
+                    fs.write(path, b"z" * size)
+                elif op == "d":
+                    fs.delete(path)
+                else:
+                    fs.rmtree(directory)
+            except FilesystemError:
+                pass
+            assert fs.used_bytes() == self.recomputed(fs)

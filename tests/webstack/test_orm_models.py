@@ -75,6 +75,74 @@ class TestValidationOnSave:
             Book.objects.create(author=author, title="t", rating=9.0)
 
 
+
+class TestJSONWritePath:
+    """Each JSON value is serialised once per write: the stored
+    ``sort_keys`` text is also the serialisability check."""
+
+    @pytest.fixture()
+    def dumps_calls(self, monkeypatch):
+        from repro.webstack.orm import fields
+        calls = []
+        real = fields.json.dumps
+
+        def counting(value, **kwargs):
+            calls.append(value)
+            return real(value, **kwargs)
+
+        monkeypatch.setattr(fields.json, "dumps", counting)
+        return calls
+
+    def test_save_bulk_create_and_bulk_update_encode_once(
+            self, db, dumps_calls):
+        author = Author.objects.create(name="A")
+        book = Book.objects.create(author=author, title="t",
+                                   tags={"b": 1, "a": [1, 2]})
+        assert len(dumps_calls) == 1
+        stored = db.connection.execute(
+            "SELECT tags FROM ws_book WHERE id = ?", [book.pk]).fetchone()
+        assert stored[0] == '{"a": [1, 2], "b": 1}'
+        book.tags = {"c": 3}
+        book.save()
+        assert len(dumps_calls) == 2
+        Book.objects.bulk_create(
+            [Book(author=author, title=f"b{i}", tags=[i]) for i in range(3)])
+        assert len(dumps_calls) == 5
+        books = list(Book.objects.all())
+        for each in books:
+            each.tags = {"n": each.pk}
+        Book.objects.bulk_update(books, ["tags"])
+        assert len(dumps_calls) == 5 + len(books)
+        assert Book.objects.get(pk=book.pk).tags == {"n": book.pk}
+
+    def test_full_clean_still_checks_without_saving(self, db, dumps_calls):
+        author = Author.objects.create(name="A")
+        Book(author=author, title="t", tags={"k": 1}).full_clean()
+        assert len(dumps_calls) == 1
+        with pytest.raises(ValidationError):
+            Book(author=author, title="t", tags={"k": object()}).full_clean()
+
+    @pytest.mark.parametrize("bad", [{"k": object()}, {1: "a", "b": 2}],
+                             ids=["unserialisable", "mixed-key-types"])
+    def test_every_write_path_raises_validation_error(self, db, bad):
+        author = Author.objects.create(name="A")
+        with pytest.raises(ValidationError) as err:
+            Book(author=author, title="x" * 200, tags=bad).save()
+        # Collected with the other fields' errors, as full_clean does.
+        assert set(err.value.error_dict) >= {"tags", "title"}
+        with pytest.raises(ValidationError):
+            Book.objects.bulk_create([Book(author=author, title="t",
+                                           tags=bad)])
+        book = Book.objects.create(author=author, title="ok")
+        book.tags = bad
+        with pytest.raises(ValidationError):
+            Book.objects.bulk_update([book], ["tags"])
+        with pytest.raises(ValidationError):
+            Book.objects.filter(pk=book.pk).update(tags=bad)
+        assert Book.objects.get(pk=book.pk).tags is None
+        assert Book.objects.count() == 1
+
+
 class TestRelations:
     def test_forward_access(self, db):
         author = Author.objects.create(name="Metcalfe")
